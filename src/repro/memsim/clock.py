@@ -12,7 +12,7 @@ The clock has two charging paths:
   ``breakdown``, ``category``) and every synchronizing operation
   (``advance``, ``wait_until``, ``fork``, ``join``) flushes the buffer
   first, so the two paths are indistinguishable from the outside.  The
-  compiled execution engine uses ``charge`` for its hot compute
+  codegen execution engine uses ``charge`` for its hot compute
   accounting; the reference interpreter only uses ``advance``.
 
 A *tick hook* (:meth:`set_tick_hook`) lets the windowed telemetry

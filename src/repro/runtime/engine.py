@@ -1,964 +1,34 @@
-"""Block-compiled execution engine.
+"""Execution-engine selection.
 
-The reference :class:`~repro.runtime.interpreter.Interpreter` pays a
-``type(op)`` dict dispatch, a handler call, and a chain of attribute
-lookups for *every* op it executes.  This module removes that cost by
-compiling each :class:`~repro.ir.core.Block` once into a flat list of
-specialized Python closures: operand ``uid``s, struct field offsets,
-element sizes, cost constants, and dispatch decisions are all bound at
-compile time, so executing a block is a tight ``for step in steps:
-step(env)`` loop.  Loop ops (``scf.for``/``scf.while``/``scf.parallel``)
-reuse their compiled body across iterations, and functions compile once
-per run (GPT-2 calls the same layer function hundreds of times).
+Two engines execute IR:
 
-Virtual-time parity with the reference interpreter is a hard contract
-(``tests/test_engine_parity.py``): the engine issues the same clock
-charges, in the same order, against the same memory-system calls.  The
-only accounting difference is mechanical: consecutive pure-compute ops
-(arith, casts, ``compute.work``) are charged as one
-:meth:`~repro.memsim.clock.VirtualClock.charge` of their summed units,
-which the clock buffers and flushes before any observable read.  With the
-shipped cost models this is bit-identical to per-op ``advance`` calls
-(unit costs are exactly representable and virtual times stay far below
-2**53 ns), and the parity suite enforces exact equality of ``elapsed_ns``,
-breakdowns, and results on every workload.
+* ``codegen`` (the default) lowers each function once to generated
+  Python source (:mod:`repro.runtime.codegen`);
+* ``reference`` keeps the op-at-a-time tree walk of
+  :class:`~repro.runtime.interpreter.Interpreter`. It is the parity
+  oracle, and codegen delegates its rare bookkeeping ops to it.
 
-Rare ops with complicated bookkeeping (alloc/dealloc, sections, profiling
-markers, discard, batched prefetch) delegate to the reference handlers --
-they are off the hot path, and delegation keeps one source of truth.
-
-Fault injection (``repro.faults``) needs no engine-specific code: the
-injector's RNG is consumed, and every ``fault.*``/``retry.*`` trace event
-emitted, inside the shared :class:`~repro.memsim.network.Network` and
-:class:`~repro.memsim.farnode.FarMemoryNode` methods that both engines
-call in the same order at the same virtual times -- so the parity
-contract (including byte-identical traces) holds under a seeded fault
-plan by construction, and the parity suite exercises exactly that.
-
-Select the engine with ``REPRO_ENGINE`` (``compiled`` is the default;
-``reference`` opts out and keeps the original interpreter).
+Both produce bit-identical virtual time, results and traces
+(``tests/test_engine_parity.py``). Select one with ``REPRO_ENGINE``.
 """
 
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Callable
 
 from repro.errors import InterpreterError
-from repro.ir.core import Block, Function, Operation
-from repro.ir.dialects import (
-    arith,
-    compute,
-    func as func_d,
-    memref,
-    prof,
-    remotable,
-    rmem,
-    scf,
-)
-from repro.ir.types import FloatType, IndexType, IntType, StructType
-from repro.runtime.objects import MemRefVal
 
-if TYPE_CHECKING:
-    from repro.runtime.interpreter import Interpreter
-
-#: environment variable selecting the engine; ``reference`` opts out
+#: environment variable selecting the engine
 ENGINE_ENV = "REPRO_ENGINE"
-DEFAULT_ENGINE = "compiled"
-ENGINES = ("compiled", "reference", "codegen")
-
-Step = Callable[[dict], None]
+DEFAULT_ENGINE = "codegen"
+ENGINES = ("codegen", "reference")
 
 
 def engine_from_env() -> str:
-    """The engine name selected by ``REPRO_ENGINE`` (default: compiled)."""
+    """The engine name selected by ``REPRO_ENGINE`` (default: codegen)."""
     name = os.environ.get(ENGINE_ENV, DEFAULT_ENGINE).strip() or DEFAULT_ENGINE
     if name not in ENGINES:
         raise InterpreterError(
             f"unknown {ENGINE_ENV}={name!r}; expected one of {ENGINES}"
         )
     return name
-
-
-class CompiledFunction:
-    """One function lowered to prebound closures."""
-
-    __slots__ = ("name", "arg_uids", "steps", "ret_uids")
-
-    def __init__(
-        self,
-        name: str,
-        arg_uids: tuple[int, ...],
-        steps: list[Step],
-        ret_uids: tuple[int, ...] | None,
-    ) -> None:
-        self.name = name
-        self.arg_uids = arg_uids
-        self.steps = steps
-        #: None when the body does not end in ``func.return``
-        self.ret_uids = ret_uids
-
-
-class Engine:
-    """Compiles and runs one module's functions for one interpreter run.
-
-    The engine shares all execution *state* with its interpreter (clock,
-    memory system, far-mode depth, profiler) so the two can interleave:
-    compiled closures handle the hot path while rare ops delegate to the
-    reference handlers.
-    """
-
-    def __init__(self, interp: "Interpreter") -> None:
-        self.interp = interp
-        self.module = interp.module
-        self.cost = interp.cost
-        self._functions: dict[int, CompiledFunction] = {}
-
-    # -- execution ---------------------------------------------------------
-
-    def call_function(self, fn: Function, args: list) -> list:
-        """Mirror of ``Interpreter._call_function`` over compiled steps."""
-        st = self.interp
-        cf = self._functions.get(id(fn))
-        if cf is None:
-            cf = self._compile_function(fn)
-        arg_uids = cf.arg_uids
-        if len(args) != len(arg_uids):
-            raise InterpreterError(
-                f"@{fn.name} called with {len(args)} args, "
-                f"expects {len(arg_uids)}"
-            )
-        st.clock.charge(self.cost.call_ns, "compute")
-        if st.instrumented:
-            st.clock.advance(self.cost.profile_event_ns, "profiling")
-        prev_fn = st._current_fn
-        st._current_fn = cf.name
-        st.profiler.enter(cf.name)
-        env: dict[int, object] = {}
-        for uid, actual in zip(arg_uids, args):
-            env[uid] = actual
-        try:
-            for step in cf.steps:
-                step(env)
-            if cf.ret_uids is None:
-                raise InterpreterError(f"@{cf.name} did not return")
-            return [env[u] for u in cf.ret_uids]
-        finally:
-            st.profiler.exit(cf.name)
-            st._current_fn = prev_fn
-            if st.instrumented:
-                st.clock.advance(self.cost.profile_event_ns, "profiling")
-
-    def offloaded_invoke(self, fn: Function, args: list) -> list:
-        """Mirror of ``Interpreter._offloaded_invoke`` (section 4.8)."""
-        st = self.interp
-        memsys = st.memsys
-        request_bytes = 64
-        for a in args:
-            if isinstance(a, MemRefVal):
-                memsys.flush(a.obj_id, 0, a.size_bytes)
-                memsys.discard(a.obj_id)
-                request_bytes += 16
-            else:
-                request_bytes += 8
-        tr = st.tracer
-        if tr is not None:
-            # mirrored emission point: keep identical to the reference
-            # interpreter's _offloaded_invoke (trace parity contract)
-            tr.emit("offload.dispatch", st.clock.now, fn=fn.name, req=request_bytes)
-        memsys.network.rpc(request_bytes, 64)
-        st._enter_far()
-        try:
-            return self.call_function(fn, args)
-        finally:
-            st._exit_far()
-
-    # -- compilation -------------------------------------------------------
-
-    def _compile_function(self, fn: Function) -> CompiledFunction:
-        term = fn.body.terminator
-        ret_uids = (
-            tuple(v.uid for v in term.operands)
-            if isinstance(term, func_d.ReturnOp)
-            else None
-        )
-        cf = CompiledFunction(
-            fn.name,
-            tuple(a.uid for a in fn.args),
-            self._compile_block(fn.body),
-            ret_uids,
-        )
-        self._functions[id(fn)] = cf
-        return cf
-
-    def _compile_block(self, block: Block) -> list[Step]:
-        """Lower a block's non-terminator ops to a flat step list.
-
-        Pure compute ops contribute only env updates; their unit costs are
-        summed at compile time and emitted as one buffered ``charge`` per
-        run, placed before the next clock-observable step.
-        """
-        st = self.interp
-        steps: list[Step] = []
-        units = 0.0
-
-        def flush_units() -> None:
-            nonlocal units
-            if units:
-                u = units
-                if u == 1.0:
-
-                    def charge_one(env, st=st):
-                        st.clock.charge(st._cpu_unit)
-
-                    steps.append(charge_one)
-                else:
-
-                    def charge_n(env, st=st, u=u):
-                        st.clock.charge(u * st._cpu_unit)
-
-                    steps.append(charge_n)
-                units = 0.0
-
-        for op in block.ops:
-            if op.is_terminator:
-                break
-            t = type(op)
-            pure = _PURE_EMITTERS.get(t)
-            if pure is not None:
-                steps.append(pure(op))
-                units += 1.0
-                continue
-            emit = _SIDE_EMITTERS.get(t)
-            if emit is None:
-                raise InterpreterError(f"no compiled handler for {op.opname}")
-            flush_units()
-            step, trailing = emit(self, op)
-            steps.append(step)
-            units += trailing
-        flush_units()
-        return steps
-
-    # -- memory ops --------------------------------------------------------
-
-    def _layout(self, op: Operation, ref_index: int) -> tuple[int, int, int]:
-        """(elem_size, field_offset, access_size) from the static ref type."""
-        elem = op.operands[ref_index].type.elem
-        esz = elem.byte_size
-        field = op.attrs.get("field")
-        if field is not None:
-            return esz, elem.field_offset(field), elem.field_type(field).byte_size
-        return esz, 0, esz
-
-    def _emit_load(self, op: Operation) -> tuple[Step, float]:
-        st = self.interp
-        ref_u = op.operands[0].uid
-        idx_u = op.operands[1].uid
-        res_u = op.result.uid
-        field = op.attrs.get("field")
-        if op.attrs.get("prefetch_stage"):
-            # stage-1 of a chained prefetch: async read of an
-            # already-prefetched line -- issue cost only
-            def load_staged(env, ref_u=ref_u, idx_u=idx_u, res_u=res_u, field=field):
-                ref: MemRefVal = env[ref_u]
-                env[res_u] = ref.load(env[idx_u], field)
-
-            return load_staged, 1.0
-
-        esz, foff, size = self._layout(op, 0)
-        dram = self.cost.dram_access_ns
-        native = bool(op.attrs.get("native"))
-        access = st.memsys.access
-        struct_whole = field is None and isinstance(
-            op.operands[0].type.elem, StructType
-        )
-
-        if field is not None:
-
-            def load_field(
-                env,
-                st=st,
-                ref_u=ref_u,
-                idx_u=idx_u,
-                res_u=res_u,
-                field=field,
-                esz=esz,
-                foff=foff,
-                size=size,
-                dram=dram,
-                native=native,
-                access=access,
-            ):
-                ref: MemRefVal = env[ref_u]
-                idx = env[idx_u]
-                st.clock.advance(dram, "dram")
-                if not st._far_depth:
-                    access(ref.obj_id, idx * esz + foff, size, False, native)
-                if type(idx) is int and 0 <= idx < ref.num_elems:
-                    env[res_u] = ref._data[field][idx]
-                else:
-                    env[res_u] = ref.load(idx, field)  # bool index / errors
-
-            return load_field, 1.0
-
-        if struct_whole:
-
-            def load_struct(
-                env,
-                st=st,
-                ref_u=ref_u,
-                idx_u=idx_u,
-                res_u=res_u,
-                esz=esz,
-                dram=dram,
-                native=native,
-                access=access,
-            ):
-                ref: MemRefVal = env[ref_u]
-                idx = env[idx_u]
-                st.clock.advance(dram, "dram")
-                if not st._far_depth:
-                    access(ref.obj_id, idx * esz, esz, False, native)
-                if type(idx) is int and 0 <= idx < ref.num_elems:
-                    env[res_u] = tuple(col[idx] for col in ref._data.values())
-                else:
-                    env[res_u] = ref.load(idx, None)
-
-            return load_struct, 1.0
-
-        def load_scalar(
-            env,
-            st=st,
-            ref_u=ref_u,
-            idx_u=idx_u,
-            res_u=res_u,
-            esz=esz,
-            dram=dram,
-            native=native,
-            access=access,
-        ):
-            ref: MemRefVal = env[ref_u]
-            idx = env[idx_u]
-            st.clock.advance(dram, "dram")
-            if not st._far_depth:
-                access(ref.obj_id, idx * esz, esz, False, native)
-            if type(idx) is int and 0 <= idx < ref.num_elems:
-                env[res_u] = ref._data[idx]
-            else:
-                env[res_u] = ref.load(idx, None)
-
-        return load_scalar, 1.0
-
-    def _emit_store(self, op: Operation) -> tuple[Step, float]:
-        st = self.interp
-        val_u = op.operands[0].uid
-        ref_u = op.operands[1].uid
-        idx_u = op.operands[2].uid
-        field = op.attrs.get("field")
-        esz, foff, size = self._layout(op, 1)
-        dram = self.cost.dram_access_ns
-        native = bool(op.attrs.get("native"))
-        access = st.memsys.access
-        struct_whole = field is None and isinstance(
-            op.operands[1].type.elem, StructType
-        )
-
-        if field is not None:
-
-            def store_field(
-                env,
-                st=st,
-                val_u=val_u,
-                ref_u=ref_u,
-                idx_u=idx_u,
-                field=field,
-                esz=esz,
-                foff=foff,
-                size=size,
-                dram=dram,
-                native=native,
-                access=access,
-            ):
-                ref: MemRefVal = env[ref_u]
-                idx = env[idx_u]
-                value = env[val_u]
-                st.clock.advance(dram, "dram")
-                if not st._far_depth:
-                    access(ref.obj_id, idx * esz + foff, size, True, native)
-                if type(idx) is int and 0 <= idx < ref.num_elems:
-                    ref._data[field][idx] = value
-                else:
-                    ref.store(idx, value, field)  # bool index / errors
-
-            return store_field, 1.0
-
-        if struct_whole:
-            # whole-struct stores are an error; keep the reference message
-            # (charged exactly like the reference: after the memory access)
-            def store_struct(
-                env,
-                st=st,
-                val_u=val_u,
-                ref_u=ref_u,
-                idx_u=idx_u,
-                esz=esz,
-                dram=dram,
-                native=native,
-                access=access,
-            ):
-                ref: MemRefVal = env[ref_u]
-                idx = env[idx_u]
-                value = env[val_u]
-                st.clock.advance(dram, "dram")
-                if not st._far_depth:
-                    access(ref.obj_id, idx * esz, esz, True, native)
-                ref.store(idx, value, None)
-
-            return store_struct, 1.0
-
-        def store_scalar(
-            env,
-            st=st,
-            val_u=val_u,
-            ref_u=ref_u,
-            idx_u=idx_u,
-            esz=esz,
-            dram=dram,
-            native=native,
-            access=access,
-        ):
-            ref: MemRefVal = env[ref_u]
-            idx = env[idx_u]
-            value = env[val_u]
-            st.clock.advance(dram, "dram")
-            if not st._far_depth:
-                access(ref.obj_id, idx * esz, esz, True, native)
-            if type(idx) is int and 0 <= idx < ref.num_elems:
-                ref._data[idx] = value
-            else:
-                ref.store(idx, value, None)
-
-        return store_scalar, 1.0
-
-    def _emit_touch(self, op: Operation) -> tuple[Step, float]:
-        st = self.interp
-        ref_u = op.operands[0].uid
-        start_u = op.operands[1].uid
-        length = op.attrs["length"]
-        is_write = op.attrs["is_write"]
-        stream_ns = length / self.cost.dram_stream_bpns
-        access = st.memsys.access
-
-        def touch(
-            env,
-            st=st,
-            ref_u=ref_u,
-            start_u=start_u,
-            length=length,
-            is_write=is_write,
-            stream_ns=stream_ns,
-            access=access,
-        ):
-            ref: MemRefVal = env[ref_u]
-            start = env[start_u]
-            if start < 0 or start + length > ref.size_bytes:
-                raise InterpreterError(
-                    f"touch [{start}, {start + length}) out of bounds for "
-                    f"{ref.name or ref.obj_id} ({ref.size_bytes} B)"
-                )
-            st.clock.advance(stream_ns, "dram_stream")
-            if not st._far_depth:
-                access(ref.obj_id, start, length, is_write)
-            return None
-
-        return touch, 1.0
-
-    def _emit_work(self, op: compute.WorkOp) -> tuple[Step, float]:
-        # ``advance`` (not ``charge``): work units can be fractional, and
-        # replicating the reference's flush-then-add keeps float rounding
-        # bit-identical regardless of neighboring buffered charges
-        st = self.interp
-        base = op.units * self.cost.cpu_op_ns
-        slow = self.cost.far_cpu_slowdown
-
-        def run_work(env, st=st, base=base, slow=slow):
-            st.clock.advance(base * slow if st._far_depth else base, "compute")
-
-        return run_work, 0.0
-
-    # -- rmem hints --------------------------------------------------------
-
-    def _emit_prefetch(self, op: Operation) -> tuple[Step, float]:
-        st = self.interp
-        ref_u = op.operands[0].uid
-        idx_u = op.operands[1].uid
-        count = op.attrs["count"]
-        prefetch = st.memsys.prefetch
-
-        def do_prefetch(
-            env, st=st, ref_u=ref_u, idx_u=idx_u, count=count, prefetch=prefetch
-        ):
-            ref: MemRefVal = env[ref_u]
-            index = env[idx_u]
-            st.clock.charge(st._cpu_unit)
-            if 0 <= index < ref.num_elems:
-                n = min(count, ref.num_elems - index)
-                prefetch(ref.obj_id, index * ref.elem_size, n * ref.elem_size)
-
-        return do_prefetch, 0.0
-
-    def _emit_flush(self, op: Operation) -> tuple[Step, float]:
-        st = self.interp
-        ref_u = op.operands[0].uid
-        idx_u = op.operands[1].uid
-        count = op.attrs["count"]
-        flush = st.memsys.flush
-
-        def do_flush(env, st=st, ref_u=ref_u, idx_u=idx_u, count=count, flush=flush):
-            ref: MemRefVal = env[ref_u]
-            index = env[idx_u]
-            st.clock.charge(st._cpu_unit)
-            if 0 <= index < ref.num_elems:
-                n = min(count, ref.num_elems - index)
-                flush(ref.obj_id, index * ref.elem_size, n * ref.elem_size)
-
-        return do_flush, 0.0
-
-    def _emit_evict_hint(self, op: Operation) -> tuple[Step, float]:
-        st = self.interp
-        ref_u = op.operands[0].uid
-        idx_u = op.operands[1].uid
-        count = op.attrs["count"]
-        memsys = st.memsys
-        if op.attrs["mode"] == "trailing":
-
-            def hint_trailing(env, st=st, ref_u=ref_u, idx_u=idx_u, memsys=memsys):
-                ref: MemRefVal = env[ref_u]
-                index = env[idx_u]
-                st.clock.charge(st._cpu_unit)
-                offset = min(max(index, 0), ref.num_elems - 1) * ref.elem_size
-                memsys.evict_hint_trailing(ref.obj_id, offset)
-
-            return hint_trailing, 0.0
-
-        def hint_exact(
-            env, st=st, ref_u=ref_u, idx_u=idx_u, count=count, memsys=memsys
-        ):
-            ref: MemRefVal = env[ref_u]
-            index = env[idx_u]
-            st.clock.charge(st._cpu_unit)
-            if 0 <= index < ref.num_elems:
-                n = min(count, ref.num_elems - index)
-                memsys.evict_hint(ref.obj_id, index * ref.elem_size, n * ref.elem_size)
-
-        return hint_exact, 0.0
-
-    # -- control flow ------------------------------------------------------
-
-    def _emit_for(self, op: scf.ForOp) -> tuple[Step, float]:
-        st = self.interp
-        body = op.body
-        body_steps = self._compile_block(body)
-        lb_u = op.operands[0].uid
-        ub_u = op.operands[1].uid
-        step_u = op.operands[2].uid
-        init_uids = tuple(v.uid for v in op.operands[3:])
-        iv_u = body.args[0].uid
-        arg_uids = tuple(a.uid for a in body.args[1:])
-        term = body.terminator
-        yield_uids = tuple(v.uid for v in term.operands) if term is not None else ()
-        res_uids = tuple(r.uid for r in op.results)
-
-        if not init_uids and not res_uids:
-
-            def run_for_simple(
-                env,
-                st=st,
-                lb_u=lb_u,
-                ub_u=ub_u,
-                step_u=step_u,
-                iv_u=iv_u,
-                body_steps=body_steps,
-            ):
-                step = env[step_u]
-                if step <= 0:
-                    raise InterpreterError(f"scf.for with non-positive step {step}")
-                for i in range(env[lb_u], env[ub_u], step):
-                    env[iv_u] = i
-                    for s in body_steps:
-                        s(env)
-                    st.clock.charge(st._cpu_unit)  # loop back-edge
-
-            return run_for_simple, 0.0
-
-        def run_for(
-            env,
-            st=st,
-            lb_u=lb_u,
-            ub_u=ub_u,
-            step_u=step_u,
-            init_uids=init_uids,
-            iv_u=iv_u,
-            arg_uids=arg_uids,
-            yield_uids=yield_uids,
-            res_uids=res_uids,
-            body_steps=body_steps,
-        ):
-            step = env[step_u]
-            if step <= 0:
-                raise InterpreterError(f"scf.for with non-positive step {step}")
-            carried = [env[u] for u in init_uids]
-            for i in range(env[lb_u], env[ub_u], step):
-                env[iv_u] = i
-                for u, v in zip(arg_uids, carried):
-                    env[u] = v
-                for s in body_steps:
-                    s(env)
-                carried = [env[u] for u in yield_uids]
-                st.clock.charge(st._cpu_unit)  # loop back-edge
-            for u, v in zip(res_uids, carried):
-                env[u] = v
-
-        return run_for, 0.0
-
-    def _emit_if(self, op: scf.IfOp) -> tuple[Step, float]:
-        st = self.interp
-        cond_u = op.operands[0].uid
-        then_steps = self._compile_block(op.then_block)
-        else_steps = self._compile_block(op.else_block)
-        then_term = op.then_block.terminator
-        else_term = op.else_block.terminator
-        then_uids = (
-            tuple(v.uid for v in then_term.operands) if then_term is not None else None
-        )
-        else_uids = (
-            tuple(v.uid for v in else_term.operands) if else_term is not None else None
-        )
-        res_uids = tuple(r.uid for r in op.results)
-
-        def run_if(
-            env,
-            st=st,
-            cond_u=cond_u,
-            then_steps=then_steps,
-            else_steps=else_steps,
-            then_uids=then_uids,
-            else_uids=else_uids,
-            res_uids=res_uids,
-        ):
-            if env[cond_u]:
-                steps, term_uids = then_steps, then_uids
-            else:
-                steps, term_uids = else_steps, else_uids
-            st.clock.charge(st._cpu_unit)
-            for s in steps:
-                s(env)
-            if res_uids:
-                if term_uids is None:
-                    raise InterpreterError("scf.if arm missing yield for results")
-                for ru, vu in zip(res_uids, term_uids):
-                    env[ru] = env[vu]
-
-        return run_if, 0.0
-
-    def _emit_while(self, op: scf.WhileOp) -> tuple[Step, float]:
-        st = self.interp
-        before, after = op.before, op.after
-        before_steps = self._compile_block(before)
-        after_steps = self._compile_block(after)
-        cond_term = before.terminator
-        assert isinstance(cond_term, scf.ConditionOp)
-        cond_u = cond_term.operands[0].uid
-        fwd_uids = tuple(v.uid for v in cond_term.operands[1:])
-        after_term = after.terminator
-        after_yield_uids = (
-            tuple(v.uid for v in after_term.operands) if after_term is not None else ()
-        )
-        init_uids = tuple(v.uid for v in op.operands)
-        before_arg_uids = tuple(a.uid for a in before.args)
-        after_arg_uids = tuple(a.uid for a in after.args)
-        res_uids = tuple(r.uid for r in op.results)
-
-        def run_while(
-            env,
-            st=st,
-            init_uids=init_uids,
-            before_arg_uids=before_arg_uids,
-            before_steps=before_steps,
-            cond_u=cond_u,
-            fwd_uids=fwd_uids,
-            res_uids=res_uids,
-            after_arg_uids=after_arg_uids,
-            after_steps=after_steps,
-            after_yield_uids=after_yield_uids,
-        ):
-            carried = [env[u] for u in init_uids]
-            for _ in range(100_000_000):  # guard against non-termination
-                for u, v in zip(before_arg_uids, carried):
-                    env[u] = v
-                for s in before_steps:
-                    s(env)
-                forwarded = [env[u] for u in fwd_uids]
-                st.clock.charge(st._cpu_unit)
-                if not env[cond_u]:
-                    for u, v in zip(res_uids, forwarded):
-                        env[u] = v
-                    return
-                for u, v in zip(after_arg_uids, forwarded):
-                    env[u] = v
-                for s in after_steps:
-                    s(env)
-                carried = [env[u] for u in after_yield_uids]
-            raise InterpreterError("scf.while exceeded iteration limit")
-
-        return run_while, 0.0
-
-    def _emit_parallel(self, op: scf.ParallelOp) -> tuple[Step, float]:
-        st = self.interp
-        body_steps = self._compile_block(op.body)
-        lb_u = op.operands[0].uid
-        ub_u = op.operands[1].uid
-        step_u = op.operands[2].uid
-        iv_u = op.body.args[0].uid
-        num_threads = op.attrs["num_threads"]
-
-        def run_parallel(
-            env,
-            st=st,
-            lb_u=lb_u,
-            ub_u=ub_u,
-            step_u=step_u,
-            iv_u=iv_u,
-            num_threads=num_threads,
-            body_steps=body_steps,
-        ):
-            iters = list(range(env[lb_u], env[ub_u], env[step_u]))
-            nthreads = min(num_threads, max(1, len(iters)))
-            per = (len(iters) + nthreads - 1) // nthreads
-            chunks = [iters[t * per : (t + 1) * per] for t in range(nthreads)]
-            memsys = st.memsys
-            base_clock = st.clock
-            thread_clocks = []
-            # threads share the link fairly: each sees 1/T of the
-            # bandwidth on a per-thread wire timeline (section 4.6)
-            network = memsys.network
-            base_link_free = network._link_free_at
-            link_ends = []
-            network.contention = nthreads
-            fault_lock = getattr(memsys, "fault_lock", None)
-            if fault_lock is not None:
-                fault_lock.contention = nthreads
-            has_tid = hasattr(memsys, "current_thread")
-            tr = st.tracer
-            for tid, chunk in enumerate(chunks):
-                tclock = base_clock.fork()
-                network._link_free_at = base_link_free
-                st._set_active_clock(tclock)
-                if has_tid:
-                    memsys.current_thread = tid
-                if tr is not None:
-                    # mirrored emission point (trace parity contract)
-                    tr.emit("thread.fork", tclock.now, tid=tid, iters=len(chunk))
-                for i in chunk:
-                    env[iv_u] = i
-                    for s in body_steps:
-                        s(env)
-                    st.clock.charge(st._cpu_unit)
-                thread_clocks.append(tclock)
-                link_ends.append(network._link_free_at)
-            network.contention = 1
-            network._link_free_at = max(link_ends, default=base_link_free)
-            if fault_lock is not None:
-                fault_lock.contention = 1
-            st._set_active_clock(base_clock)
-            if has_tid:
-                memsys.current_thread = 0
-            for tclock in thread_clocks:
-                base_clock.join(tclock)
-            if tr is not None:
-                tr.emit("thread.join", base_clock.now, threads=nthreads)
-
-        return run_parallel, 0.0
-
-    # -- calls -------------------------------------------------------------
-
-    def _emit_call(self, op: func_d.CallOp) -> tuple[Step, float]:
-        st = self.interp
-        callee = self.module.get(op.attrs["callee"])
-        arg_uids = tuple(v.uid for v in op.operands)
-        res_uids = tuple(r.uid for r in op.results)
-        offloaded = callee.is_offloaded
-
-        def run_call(
-            env,
-            st=st,
-            eng=self,
-            callee=callee,
-            arg_uids=arg_uids,
-            res_uids=res_uids,
-            offloaded=offloaded,
-        ):
-            args = [env[u] for u in arg_uids]
-            if offloaded and not st._far_depth:
-                results = eng.offloaded_invoke(callee, args)
-            else:
-                results = eng.call_function(callee, args)
-            for u, v in zip(res_uids, results):
-                env[u] = v
-
-        return run_call, 0.0
-
-    def _emit_offload_call(self, op: rmem.OffloadCallOp) -> tuple[Step, float]:
-        callee = self.module.get(op.attrs["callee"])
-        arg_uids = tuple(v.uid for v in op.operands)
-        res_uids = tuple(r.uid for r in op.results)
-
-        def run_offload(
-            env, eng=self, callee=callee, arg_uids=arg_uids, res_uids=res_uids
-        ):
-            results = eng.offloaded_invoke(callee, [env[u] for u in arg_uids])
-            for u, v in zip(res_uids, results):
-                env[u] = v
-
-        return run_offload, 0.0
-
-    # -- delegation to the reference interpreter ---------------------------
-
-    def _emit_delegated(self, op: Operation) -> tuple[Step, float]:
-        """Rare ops run through the reference handler (one dict dispatch,
-        resolved at compile time)."""
-        handler = self.interp._dispatch[type(op)]
-
-        def run_delegated(env, handler=handler, op=op):
-            handler(op, env)
-
-        return run_delegated, 0.0
-
-
-# -- pure op emitters (module level: no engine state needed) ----------------
-
-
-def _emit_constant(op: arith.ConstantOp) -> Step:
-    r = op.result.uid
-    value = op.attrs["value"]
-
-    def run(env, r=r, value=value):
-        env[r] = value
-
-    return run
-
-
-def _emit_binary(op: arith.BinaryOp) -> Step:
-    from repro.runtime.interpreter import _int_div, _int_rem
-
-    a = op.operands[0].uid
-    b = op.operands[1].uid
-    r = op.result.uid
-    kind = op.attrs["kind"]
-    if kind == "div":
-        if isinstance(op.result.type, FloatType):
-
-            def run(env, a=a, b=b, r=r):
-                env[r] = env[a] / env[b]
-
-        else:
-
-            def run(env, a=a, b=b, r=r, div=_int_div):
-                env[r] = div(env[a], env[b])
-
-    elif kind == "rem":
-
-        def run(env, a=a, b=b, r=r, rem=_int_rem):
-            env[r] = rem(env[a], env[b])
-
-    else:
-        fn = arith.BINARY_KINDS[kind]
-
-        def run(env, a=a, b=b, r=r, fn=fn):
-            env[r] = fn(env[a], env[b])
-
-    return run
-
-
-def _emit_cmp(op: arith.CmpOp) -> Step:
-    a = op.operands[0].uid
-    b = op.operands[1].uid
-    r = op.result.uid
-    pred = arith.CMP_PREDICATES[op.attrs["pred"]]
-
-    def run(env, a=a, b=b, r=r, pred=pred):
-        env[r] = 1 if pred(env[a], env[b]) else 0
-
-    return run
-
-
-def _emit_select(op: arith.SelectOp) -> Step:
-    c = op.operands[0].uid
-    a = op.operands[1].uid
-    b = op.operands[2].uid
-    r = op.result.uid
-
-    def run(env, c=c, a=a, b=b, r=r):
-        env[r] = env[a] if env[c] else env[b]
-
-    return run
-
-
-def _emit_cast(op: arith.CastOp) -> Step:
-    a = op.operands[0].uid
-    r = op.result.uid
-    t = op.result.type
-    if isinstance(t, FloatType):
-
-        def run(env, a=a, r=r):
-            env[r] = float(env[a])
-
-    elif isinstance(t, (IntType, IndexType)):
-
-        def run(env, a=a, r=r):
-            env[r] = int(env[a])
-
-    else:
-        # preserve the reference behavior: the error fires at execution
-        def run(env, t=t):
-            raise InterpreterError(f"bad cast target {t}")
-
-    return run
-
-
-_PURE_EMITTERS: dict[type, Callable[[Operation], Step]] = {
-    arith.ConstantOp: _emit_constant,
-    arith.BinaryOp: _emit_binary,
-    arith.CmpOp: _emit_cmp,
-    arith.SelectOp: _emit_select,
-    arith.CastOp: _emit_cast,
-}
-
-_SIDE_EMITTERS: dict[type, Callable[[Engine, Operation], tuple[Step, float]]] = {
-    memref.LoadOp: Engine._emit_load,
-    rmem.RLoadOp: Engine._emit_load,
-    memref.StoreOp: Engine._emit_store,
-    rmem.RStoreOp: Engine._emit_store,
-    memref.TouchOp: Engine._emit_touch,
-    rmem.RTouchOp: Engine._emit_touch,
-    compute.WorkOp: Engine._emit_work,
-    rmem.PrefetchOp: Engine._emit_prefetch,
-    rmem.FlushOp: Engine._emit_flush,
-    rmem.EvictHintOp: Engine._emit_evict_hint,
-    scf.ForOp: Engine._emit_for,
-    scf.IfOp: Engine._emit_if,
-    scf.WhileOp: Engine._emit_while,
-    scf.ParallelOp: Engine._emit_parallel,
-    func_d.CallOp: Engine._emit_call,
-    rmem.OffloadCallOp: Engine._emit_offload_call,
-    # rare / bookkeeping-heavy ops: reference handlers, prebound
-    memref.AllocOp: Engine._emit_delegated,
-    remotable.RAllocOp: Engine._emit_delegated,
-    memref.DeallocOp: Engine._emit_delegated,
-    rmem.BatchPrefetchOp: Engine._emit_delegated,
-    rmem.DiscardOp: Engine._emit_delegated,
-    rmem.SectionOpenOp: Engine._emit_delegated,
-    rmem.SectionCloseOp: Engine._emit_delegated,
-    prof.RegionBeginOp: Engine._emit_delegated,
-    prof.RegionEndOp: Engine._emit_delegated,
-}

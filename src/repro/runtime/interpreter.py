@@ -20,7 +20,7 @@ meaningful):
 Fault injection lives entirely below this layer: when a run installs a
 :class:`~repro.faults.FaultPlan`, the timeout/retry/backoff/breaker
 machinery (and its trace events) runs inside the shared network and
-far-node code, so the interpreter and the compiled engine stay
+far-node code, so the interpreter and the codegen engine stay
 byte-identical under faults without any mirrored emission points here.
 """
 
@@ -35,6 +35,8 @@ from repro.ir.dialects import arith, compute, func as func_d, memref, prof, remo
 from repro.ir.types import FloatType, IndexType, IntType
 from repro.cache.interface import MemorySystem
 from repro.memsim.clock import VirtualClock
+from repro.runtime.codegen import CodegenEngine
+from repro.runtime.engine import engine_from_env
 from repro.runtime.objects import MemRefVal, ObjectStore
 from repro.runtime.profiler import Profiler, runtime_ns
 
@@ -73,13 +75,11 @@ def _int_rem(a: int, b: int) -> int:
 class Interpreter:
     """Executes one module; one instance per run.
 
-    ``engine`` selects the execution strategy: ``"compiled"`` (default)
-    lowers each block once to specialized closures via
-    :mod:`repro.runtime.engine`; ``"codegen"`` lowers each function to
-    generated Python source via :mod:`repro.runtime.codegen`;
-    ``"reference"`` keeps the original op-at-a-time tree walk.  All
-    three produce bit-identical virtual time; the ``REPRO_ENGINE``
-    environment variable overrides the default.
+    ``REPRO_ENGINE`` (:func:`~repro.runtime.engine.engine_from_env`)
+    selects the execution strategy: ``"codegen"`` (default) lowers each
+    function to generated Python source via :mod:`repro.runtime.codegen`;
+    ``"reference"`` keeps the op-at-a-time tree walk below.  Both produce
+    bit-identical virtual time.
     """
 
     def __init__(
@@ -87,7 +87,6 @@ class Interpreter:
         module: Module,
         memsys: MemorySystem,
         data_init: DataInit | None = None,
-        engine: str | None = None,
     ) -> None:
         self.module = module
         self.memsys = memsys
@@ -105,23 +104,8 @@ class Interpreter:
         self._cpu_unit = self.cost.cpu_op_ns  # tracks far-mode slowdown
         self._current_fn = "<none>"
         self._dispatch = self._build_dispatch()
-        from repro.runtime.engine import ENGINES, Engine, engine_from_env
-
-        if engine is None:
-            engine = engine_from_env()
-        elif engine not in ENGINES:
-            raise InterpreterError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}"
-            )
-        self.engine_name = engine
-        if engine == "compiled":
-            self._engine = Engine(self)
-        elif engine == "codegen":
-            from repro.runtime.codegen import CodegenEngine
-
-            self._engine = CodegenEngine(self)
-        else:
-            self._engine = None
+        self.engine_name = engine_from_env()
+        self._engine = CodegenEngine(self) if self.engine_name == "codegen" else None
 
     # -- public API -----------------------------------------------------------
 

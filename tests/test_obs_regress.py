@@ -35,10 +35,10 @@ HYBRID = REPO / "BENCH_hybrid.json"
 
 def test_flatten_committed_baselines():
     metrics = load_baselines(ENGINE, CHAOS)
-    # throughput for all three engines
+    # throughput for both engines
     assert "engine.reference.ops_per_sec" in metrics
-    assert "engine.compiled.ops_per_sec" in metrics
     assert "engine.codegen.ops_per_sec" in metrics
+    assert "engine.compiled.ops_per_sec" not in metrics
     # the Fig. 5 single-point virtual times
     assert metrics["engine.virtual_ns.native"] > 0
     assert metrics["engine.virtual_ns.fastswap@0.2"] > 0
@@ -66,6 +66,26 @@ def test_flatten_skips_incomplete_cells():
         "chaos.w.s.s2.light.healthy_ns": 3.0,
         "chaos.w.s.s2.light.faulty_ns": 4.0,
     }
+
+
+def test_flatten_hybrid_skips_failed_cells():
+    doc = {
+        "ir_cells": [
+            {"workload": "w", "system": "aifm", "elapsed_ns": 0.0,
+             "failed": True, "error": "AIFM metadata exceeds local memory"},
+            {"workload": "w", "system": "fastswap", "elapsed_ns": 5.0},
+        ],
+    }
+    assert flatten_hybrid(doc) == {"hybrid.ir.w.fastswap.elapsed_ns": 5.0}
+
+
+def test_zero_baseline_with_nonzero_current_fails():
+    (c,) = compare({"v": 0.0}, {"v": 123.0})
+    assert c.hard and not c.ok and "zero baseline" in c.note
+    assert not gate([c])
+    # a zero current against a zero baseline is still identical
+    (c,) = compare({"v": 0.0}, {"v": 0.0})
+    assert c.ok and not c.note
 
 
 def test_flatten_engine_tolerates_missing_sections():
@@ -132,8 +152,11 @@ def test_flatten_committed_hybrid_baseline():
     metrics = load_baselines(ENGINE, CHAOS, hybrid_path=HYBRID)
     ir = [k for k in metrics if k.startswith("hybrid.ir.")]
     tr = [k for k in metrics if k.startswith("hybrid.trace.")]
-    # 5 workloads x 4 systems; 8 scenarios x 4 systems
-    assert len(ir) >= 20 and len(tr) >= 32
+    # 5 workloads x 4 systems minus the 3 failed AIFM cells (not gated);
+    # 8 scenarios x 4 systems
+    assert len(ir) >= 17 and len(tr) >= 32
+    assert "hybrid.ir.array_sum.aifm.elapsed_ns" not in metrics
+    assert all(v > 0 for v in metrics.values())
     for system in ("fastswap", "mira", "hybrid"):
         assert f"hybrid.ir.graph_traversal.{system}.elapsed_ns" in metrics
     # the acceptance criterion is visible straight from the baseline:
@@ -291,7 +314,7 @@ class _FakeResult:
 
 
 def test_measure_throughput_covers_all_engines_and_restores_env(monkeypatch):
-    """``_measure_throughput`` sweeps reference/compiled/codegen via
+    """``_measure_throughput`` sweeps reference/codegen via
     ``REPRO_ENGINE`` and must put the caller's value back afterwards."""
     import repro.core
 
@@ -305,7 +328,7 @@ def test_measure_throughput_covers_all_engines_and_restores_env(monkeypatch):
     monkeypatch.setenv("REPRO_ENGINE", "reference")
     out = regress._measure_throughput()
     # best-of-2 per engine, engines swept in order
-    assert seen == ["reference"] * 2 + ["compiled"] * 2 + ["codegen"] * 2
+    assert seen == ["reference"] * 2 + ["codegen"] * 2
     assert set(out) == {f"engine.{e}.ops_per_sec" for e in seen}
     assert os.environ["REPRO_ENGINE"] == "reference"
 
